@@ -98,11 +98,7 @@ object CostModel {
       val used = alive.values.flatten.toSet
       val dead = factorV.filter(f => alive.contains(f) && !used.contains(f))
       changed = dead.nonEmpty
-      if (changed) {
-        alive = (alive -- dead).map { case (w, p) =>
-          w -> p.filterNot(dead.contains) // cannot happen (dead are leaves) but keep total
-        }
-      }
+      alive = alive -- dead
     }
 
     WcgPlan(userV, factorV.filter(alive.contains), alive, semantics, eta, bigR)
@@ -156,6 +152,15 @@ final case class WcgPlan(
     }
     out.result()
   }
+
+  /** The plan's one dataflow walk: visits every window once in
+    * `topological` order and keeps `step(w, None)` for a root and
+    * `step(w, Some(p -> a))` for a window whose parent `p` gave `a`.
+    */
+  def fold[A](step: (Window, Option[(Window, A)]) => A): Map[Window, A] =
+    topological.foldLeft(Map.empty[Window, A]) { (done, w) =>
+      done + (w -> step(w, parent(w).map(p => p -> done(p))))
+    }
 
   /** Forest sanity: no cycles, parents in-plan. Used by tests (Theorem 7). */
   def isForest: Boolean =

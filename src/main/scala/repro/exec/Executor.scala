@@ -1,9 +1,9 @@
 package repro.exec
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import org.apache.spark.storage.StorageLevel
-import repro.core.{Window, WcgPlan}
+import repro.core.{CostModel, Window, WcgPlan}
 
 /** Names of the event-stream columns: integer event time `t` (in abstract
   * time units ≥ 0), grouping key `k` (the `DeviceID` of Figure 1), value `v`.
@@ -56,27 +56,32 @@ object Executor {
       .groupBy(col("k"), col("wstart2").as("wstart"))
       .agg(agg.merge(col("st")).as("st"))
 
-  /** Finalize a sub-aggregate DataFrame of `w` into the output schema. */
-  def finish(df: DataFrame, w: Window, agg: AggSpec): DataFrame =
+  /** Finalize a sub-aggregate DataFrame of `w` into the output schema;
+    * `wstart` is the instance-start column (the stream derives it from its
+    * window struct).
+    */
+  def finish(df: DataFrame, w: Window, agg: AggSpec,
+             wstart: Column = col("wstart")): DataFrame =
     df.select(
       lit(w.r).as("w_r"),
       lit(w.s).as("w_s"),
       col("k"),
-      col("wstart"),
+      wstart,
       agg.finish(col("st")).cast("double").as("value"))
 
-  /** Baseline plan: every window aggregated independently from the raw
-    * events, results unioned (left side of Figure 2(a)).
+  /** Baseline plan (left side of Figure 2(a)): the rewritten plan over a
+    * forest in which every window is a root, computed from the raw events;
+    * execution reads neither the forest's `eta` nor its `bigR`.
     */
   def baseline(events: DataFrame, windows: Seq[Window], agg: AggSpec,
                cols: EventCols = EventCols()): DataFrame = {
     require(windows.nonEmpty, "empty window set")
-    windows
-      .map(w => finish(subAggFromEvents(events, w, agg, cols), w, agg))
-      .reduce(_.unionAll(_))
+    val roots = WcgPlan(windows.toVector, Vector.empty, windows.map(_ -> None).toMap,
+      agg.semantics, eta = 1, bigR = CostModel.hyperPeriod(windows))
+    rewritten(events, roots, agg, cols)
   }
 
-  /** Rewritten plan: walk the min-cost WCG forest in dataflow order — roots
+  /** Rewritten plan: fold the min-cost WCG forest in dataflow order — roots
     * from the raw stream, every other window from its parent's
     * sub-aggregates; union the finalized user windows (right side of
     * Figure 2(a)). Factor windows participate but are not exposed.
@@ -91,16 +96,12 @@ object Executor {
     require(plan.semantics == agg.semantics,
       s"plan built for ${plan.semantics} but ${agg.name} needs ${agg.semantics}")
     val userSet = plan.userWindows.toSet
-    val subAggs = scala.collection.mutable.Map.empty[Window, DataFrame]
-    plan.topological.foreach { w =>
-      val df = plan.parent(w) match {
-        case None     => subAggFromEvents(events, w, agg, cols)
-        case Some(up) => subAggFromUpstream(subAggs(up), up, w, agg)
+    val subAggs = plan.fold[DataFrame] { (w, up) =>
+      val df = up.fold(subAggFromEvents(events, w, agg, cols)) { case (upW, upDf) =>
+        subAggFromUpstream(upDf, upW, w, agg)
       }
       val fanOut = plan.childrenOf(w).size + (if (userSet.contains(w)) 1 else 0)
-      subAggs(w) =
-        if (persistShared && fanOut > 1) df.persist(StorageLevel.MEMORY_AND_DISK)
-        else df
+      if (persistShared && fanOut > 1) df.persist(StorageLevel.MEMORY_AND_DISK) else df
     }
     plan.userWindows
       .map(w => finish(subAggs(w), w, agg))

@@ -3,7 +3,7 @@ package repro.stream
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.core.{Window, WcgPlan}
-import repro.exec.AggSpec
+import repro.exec.{AggSpec, Executor}
 
 /** The paper's rewriting expressed in Structured Streaming, the declarative
   * streaming engine the repro targets: a chain in the min-cost WCG becomes a
@@ -45,28 +45,19 @@ object StreamingRewrite {
              watermarkDelay: String = "0 seconds"): Map[Window, DataFrame] = {
     requireTumblingChain(plan)
     val marked = events.withWatermark("ts", watermarkDelay)
-    val sub = scala.collection.mutable.Map.empty[Window, DataFrame]
-    plan.topological.foreach { w =>
-      val df = plan.parent(w) match {
-        case None =>
-          marked
-            .select(col("k"), col("ts"), agg.lift(col("v")).as("st0"))
-            .groupBy(col("k"), window(col("ts"), s"${w.r} seconds"))
-            .agg(agg.merge(col("st0")).as("st"))
-        case Some(p) =>
-          sub(p)
-            .groupBy(col("k"), window(col("window"), s"${w.r} seconds"))
-            .agg(agg.merge(col("st")).as("st"))
-      }
-      sub(w) = df
+    val sub = plan.fold[DataFrame] {
+      case (w, None) =>
+        marked
+          .select(col("k"), col("ts"), agg.lift(col("v")).as("st0"))
+          .groupBy(col("k"), window(col("ts"), s"${w.r} seconds"))
+          .agg(agg.merge(col("st0")).as("st"))
+      case (w, Some((_, up))) =>
+        up
+          .groupBy(col("k"), window(col("window"), s"${w.r} seconds"))
+          .agg(agg.merge(col("st")).as("st"))
     }
     plan.userWindows.map { w =>
-      w -> sub(w).select(
-        lit(w.r).as("w_r"),
-        lit(w.s).as("w_s"),
-        col("k"),
-        col("window.start").cast("long").as("wstart"),
-        agg.finish(col("st")).cast("double").as("value"))
+      w -> Executor.finish(sub(w), w, agg, col("window.start").cast("long").as("wstart"))
     }.toMap
   }
 }

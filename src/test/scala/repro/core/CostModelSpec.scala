@@ -140,6 +140,17 @@ class CostModelSpec extends AnyFunSuite with SeededProps {
       order.zipWithIndex.foreach { case (w, i) =>
         plan.parent(w).foreach(p => assert(order.indexOf(p) < i, s"$p after $w"))
       }
+      // fold walks that order once, passes None exactly at the roots and
+      // hands each child its parent's value (here every window's value is
+      // the window itself).
+      val visited = Vector.newBuilder[Window]
+      val folded = plan.fold[Window] { (w, up) =>
+        visited += w
+        assert(up.isEmpty == plan.roots.contains(w), s"$w")
+        assert(up.forall { case (p, a) => plan.parent(w).contains(p) && a == p }, s"$w")
+        w
+      }
+      assert(visited.result() == order && folded.keySet == order.toSet)
     }
   }
 
