@@ -23,8 +23,7 @@ object StreamingJob {
       val windows = Seq(20L, 30L, 40L).map(Window.tumbling)
       val plan = FactorWindows.minCostPlanWithFactors(windows,
         AggSpec.Min.semantics, eta = 100)
-      println(s"plan roots=${plan.roots.mkString(",")} " +
-        s"factors=${plan.factorWindows.mkString(",")}")
+      println(plan.render)
 
       val events = spark.readStream.format("rate")
         .option("rowsPerSecond", "500").load()

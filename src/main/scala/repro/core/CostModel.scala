@@ -27,8 +27,11 @@ object NumberTheory {
   *
   * Cost accounting for roots follows the paper's worked Examples 6–8: a
   * window computed from the raw stream (equivalently, parented at the
-  * virtual root S⟨1,1⟩ of the augmented WCG) costs `n_i·η·r_i`; see
-  * DESIGN.md "Interpretation choices".
+  * virtual root S⟨1,1⟩ of §4.1) costs `n_i·η·r_i`; see DESIGN.md
+  * "Interpretation choices".
+  *
+  * Every window must satisfy footnote 4's r ≡ 0 (mod s); the planner's
+  * entry points reject a window set that does not.
   */
 object CostModel {
 
@@ -57,8 +60,18 @@ object CostModel {
   def cost(w: Window, parent: Option[Window], bigR: BigInt, eta: BigInt): BigInt =
     parent.fold(rootCost(w, bigR, eta))(p => edgeCost(w, p, bigR))
 
+  /** Reject a window whose range is not a multiple of its slide: Equation 1
+    * and the factor-window search assume r ≡ 0 (mod s) (footnote 4).
+    */
+  private def requireSlideDividesRange(windows: Seq[Window]): Unit =
+    windows.find(w => w.r % w.s != 0).foreach { w =>
+      throw new IllegalArgumentException(
+        s"$w breaks the assumption r ≡ 0 (mod s) of footnote 4: range ${w.r} is not a multiple of slide ${w.s}")
+    }
+
   /** Baseline (BL) cost: every window computed directly from the stream. */
   def baselineCost(windows: Seq[Window], eta: BigInt): BigInt = {
+    requireSlideDividesRange(windows)
     val bigR = hyperPeriod(windows)
     windows.map(rootCost(_, bigR, eta)).sum
   }
@@ -72,6 +85,7 @@ object CostModel {
     */
   def minCostPlan(user: Seq[Window], factor: Seq[Window], semantics: Semantics,
                   eta: BigInt): WcgPlan = {
+    requireSlideDividesRange(user ++ factor)
     require(eta >= 1, s"event rate must be >= 1, got $eta")
     val userV   = user.toVector.distinct
     val factorV = factor.toVector.distinct.filterNot(userV.contains)
@@ -166,4 +180,34 @@ final case class WcgPlan(
   def isForest: Boolean =
     scala.util.Try(topological).isSuccess &&
       parent.values.flatten.forall(allWindows.contains)
+
+  /** The rewritten query plan of §3.3 (Figure 1(b) for an all-roots plan,
+    * Figure 2(b) otherwise), one node a line, each window indented under
+    * its parent: the source feeds the roots through a Multicast iff there
+    * are at least two; a window with children feeds them through its own
+    * Multicast; only user windows link to the Union (`-> Union`), factor
+    * windows' results are not exposed (§4).
+    */
+  def render: String = {
+    def lines(w: Window, indent: String): Vector[String] = {
+      val union = if (userWindows.contains(w)) " -> Union" else ""
+      val children = childrenOf(w)
+      if (children.isEmpty) Vector(s"$indent$w$union")
+      else Vector(s"$indent$w", s"$indent  Multicast$union") ++
+        children.flatMap(lines(_, indent + "    "))
+    }
+    val (source, indent) =
+      if (roots.size >= 2) (Vector("Source", "  Multicast"), "    ") else (Vector("Source"), "  ")
+    (source ++ roots.flatMap(lines(_, indent)) :+ "Union").mkString("\n")
+  }
+}
+
+object WcgPlan {
+  /** The unrewritten query as a plan (Figure 1(b)): every window a root,
+    * computed from the raw stream. `eta = 1` and `bigR` are only read by the
+    * cost methods.
+    */
+  def allRoots(windows: Seq[Window], semantics: Semantics): WcgPlan =
+    WcgPlan(windows.toVector, Vector.empty, windows.map(_ -> None).toMap,
+      semantics, eta = 1, bigR = CostModel.hyperPeriod(windows))
 }

@@ -24,12 +24,9 @@ object FactorWindows {
     * the cancelling `cost(W)` term is omitted on both sides.
     */
   def delta(wf: Window, target: Option[Window], downstream: Seq[Window],
-            bigR: BigInt, eta: BigInt): BigInt = {
-    val withFw = downstream.map(CostModel.edgeCost(_, wf, bigR)).sum +
-      CostModel.cost(wf, target, bigR, eta)
-    val withoutFw = downstream.map(CostModel.cost(_, target, bigR, eta)).sum
-    withFw - withoutFw
-  }
+            bigR: BigInt, eta: BigInt): BigInt =
+    localCost(wf, target, downstream, bigR, eta) -
+      downstream.map(CostModel.cost(_, target, bigR, eta)).sum
 
   /** Candidate factor windows for the Figure-9 pattern (§4.2.1): slides
     * dividing `gcd` of the downstream slides and multiples of the target's
@@ -177,9 +174,9 @@ object FactorWindows {
       (localCost(wf, target, downstream, bigR, eta), -wf.r)))
   }
 
-  /** One factor window proposed for each vertex of the augmented WCG
-    * (lines 3–5 of Algorithm 2). The virtual root's downstream set consists
-    * of the windows with no incoming edge (§4.1).
+  /** One factor window proposed for each vertex of the WCG and for the
+    * virtual root S⟨1,1⟩ (lines 3–5 of Algorithm 2). The virtual root's
+    * downstream set consists of the windows with no incoming edge (§4.1).
     */
   def proposeFactors(user: Seq[Window], semantics: Semantics,
                      eta: BigInt): Vector[Window] = {

@@ -62,8 +62,9 @@ object Window {
   /** A tumbling window `W⟨r, r⟩`. */
   def tumbling(r: Long): Window = Window(r, r)
 
-  /** The virtual root `S⟨1,1⟩` of the augmented WCG (§4.1): a tumbling
-    * window of atomic intervals that covers every window.
+  /** The virtual root `S⟨1,1⟩` (§4.1): a tumbling window of atomic
+    * intervals that covers every window and parents every window without
+    * one; its sub-aggregates are the events.
     */
   val virtualRoot: Window = Window(1, 1)
 }

@@ -47,17 +47,19 @@ object EvalHarness {
     rows.foreach { case (label, ws, c) =>
       sb ++= f"$label%-6s ${c.bl}%14s ${c.up}%14s ${c.sp}%14s ${c.wcg}%14s ${c.wcgFw}%14s   ${ws.mkString(" ")}\n"
     }
-    // Geometric-mean cost ratios vs BL — the "shape" statistic recorded in
-    // EXPERIMENTS.md (the paper reports log-scale per-set bars).
-    def geoMeanRatio(f: TechniqueCosts => BigInt): Double = {
-      val logs = rows.map { case (_, _, c) =>
-        math.log(f(c).doubleValue / c.bl.doubleValue)
-      }
-      math.exp(logs.sum / logs.size)
-    }
-    sb ++= f"geo-mean cost ratio vs BL:  UP=${geoMeanRatio(_.up)}%.4f  " +
-      f"SP=${geoMeanRatio(_.sp)}%.4f  WCG=${geoMeanRatio(_.wcg)}%.4f  " +
-      f"WCG-FW=${geoMeanRatio(_.wcgFw)}%.4f\n"
+    val geo = geoMeanRatio(rows.map(_._3)) _
+    sb ++= f"geo-mean cost ratio vs BL:  UP=${geo(_.up)}%.4f  " +
+      f"SP=${geo(_.sp)}%.4f  WCG=${geo(_.wcg)}%.4f  " +
+      f"WCG-FW=${geo(_.wcgFw)}%.4f\n"
     sb.result()
+  }
+
+  /** Geometric mean of `f(c)/BL` over a panel's sets — the "shape"
+    * statistic recorded in EXPERIMENTS.md (the paper reports log-scale
+    * per-set bars).
+    */
+  def geoMeanRatio(costs: Seq[TechniqueCosts])(f: TechniqueCosts => BigInt): Double = {
+    val logs = costs.map(c => math.log(f(c).doubleValue / c.bl.doubleValue))
+    math.exp(logs.sum / logs.size)
   }
 }

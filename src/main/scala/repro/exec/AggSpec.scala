@@ -48,19 +48,25 @@ object AggSpec {
     def finish(st: Column): Column = st
   }
 
-  /** COUNT — distributive with `g = SUM`, requires disjoint partitions. */
+  /** COUNT — distributive with `g = SUM`, requires disjoint partitions.
+    * Counts events, null values included: SQL's `COUNT(*)`, not `COUNT(v)`.
+    */
   case object Count extends AggSpec("count", Semantics.PartitionedBy) {
     def lift(v: Column): Column = lit(1L)
     def merge(st: Column): Column = sum(st)
     def finish(st: Column): Column = st
   }
 
-  /** AVG — algebraic: state is (sum, count), finished by division. */
+  /** AVG — algebraic: state is (sum, count of non-null values), finished
+    * by division. Like SQL's `AVG`, null values are skipped and an instance
+    * whose values are all null yields null.
+    */
   case object Avg extends AggSpec("avg", Semantics.PartitionedBy) {
-    def lift(v: Column): Column = struct(v.cast("double").as("s"), lit(1L).as("c"))
+    def lift(v: Column): Column =
+      struct(v.cast("double").as("s"), v.isNotNull.cast("long").as("c"))
     def merge(st: Column): Column =
       struct(sum(st.getField("s")).as("s"), sum(st.getField("c")).as("c"))
-    def finish(st: Column): Column = st.getField("s") / st.getField("c")
+    def finish(st: Column): Column = try_divide(st.getField("s"), st.getField("c"))
   }
 
   val all: Seq[AggSpec] = Seq(Min, Max, Sum, Count, Avg)

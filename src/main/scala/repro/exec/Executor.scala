@@ -3,12 +3,7 @@ package repro.exec
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import org.apache.spark.storage.StorageLevel
-import repro.core.{CostModel, Window, WcgPlan}
-
-/** Names of the event-stream columns: integer event time `t` (in abstract
-  * time units ≥ 0), grouping key `k` (the `DeviceID` of Figure 1), value `v`.
-  */
-final case class EventCols(t: String = "t", k: String = "k", v: String = "v")
+import repro.core.{Window, WcgPlan}
 
 /** Executes a multi-window aggregate query over an event DataFrame, either
   * as the *baseline* plan (every window computed independently from the raw
@@ -22,23 +17,24 @@ final case class EventCols(t: String = "t", k: String = "k", v: String = "v")
   * claim. Shared intermediate nodes are optionally persisted, which is the
   * batch analogue of the `Multicast` operator.
   *
+  * Input schema: `(t, k, v)` — integer event time `t` (in abstract time
+  * units ≥ 0), grouping key `k` (the `DeviceID` of Figure 1), value `v`.
   * Output schema: `(w_r, w_s, k, wstart, value)` — one row per window per
   * key per instance that saw at least one event.
   */
 object Executor {
 
+  /** The events as the sub-aggregates of the virtual root S⟨1,1⟩ (§4.1):
+    * one state per event, over the unit span `[t, t + 1)`.
+    */
+  private def eventSubAggs(events: DataFrame, agg: AggSpec): DataFrame =
+    events.select(col("k"), col("t").as("wstart"), agg.lift(col("v")).as("st"))
+
   /** Sub-aggregate states of `w` computed directly from events:
     * `(k, wstart, st)`.
     */
-  def subAggFromEvents(events: DataFrame, w: Window, agg: AggSpec,
-                       cols: EventCols = EventCols()): DataFrame =
-    events
-      .select(
-        col(cols.k).as("k"),
-        explode(WindowAssign.instanceStartsForEvent(col(cols.t), w)).as("wstart"),
-        agg.lift(col(cols.v)).as("st0"))
-      .groupBy(col("k"), col("wstart"))
-      .agg(agg.merge(col("st0")).as("st"))
+  def subAggFromEvents(events: DataFrame, w: Window, agg: AggSpec): DataFrame =
+    subAggFromUpstream(eventSubAggs(events, agg), Window.virtualRoot, w, agg)
 
   /** Sub-aggregate states of `w` computed from the sub-aggregates of its
     * upstream window `upW` (the covering-set reduction of Observation 1):
@@ -69,37 +65,33 @@ object Executor {
       wstart,
       agg.finish(col("st")).cast("double").as("value"))
 
-  /** Baseline plan (left side of Figure 2(a)): the rewritten plan over a
-    * forest in which every window is a root, computed from the raw events;
-    * execution reads neither the forest's `eta` nor its `bigR`.
+  /** Baseline plan (left side of Figure 2(a)): the rewritten plan over the
+    * all-roots forest, every window computed from the raw events.
     */
-  def baseline(events: DataFrame, windows: Seq[Window], agg: AggSpec,
-               cols: EventCols = EventCols()): DataFrame = {
+  def baseline(events: DataFrame, windows: Seq[Window], agg: AggSpec): DataFrame = {
     require(windows.nonEmpty, "empty window set")
-    val roots = WcgPlan(windows.toVector, Vector.empty, windows.map(_ -> None).toMap,
-      agg.semantics, eta = 1, bigR = CostModel.hyperPeriod(windows))
-    rewritten(events, roots, agg, cols)
+    rewritten(events, WcgPlan.allRoots(windows, agg.semantics), agg)
   }
 
-  /** Rewritten plan: fold the min-cost WCG forest in dataflow order — roots
-    * from the raw stream, every other window from its parent's
-    * sub-aggregates; union the finalized user windows (right side of
-    * Figure 2(a)). Factor windows participate but are not exposed.
+  /** Rewritten plan: fold the min-cost WCG forest in dataflow order, every
+    * window aggregating its parent's sub-aggregates — a root's parent being
+    * S⟨1,1⟩, whose sub-aggregates are the events; union the finalized user
+    * windows (right side of Figure 2(a)). Factor windows participate but
+    * are not exposed.
     *
     * @param persistShared persist sub-aggregate nodes read more than once
     *                      (Multicast); callers should `unpersistAll` after
     *                      consuming the result when set.
     */
   def rewritten(events: DataFrame, plan: WcgPlan, agg: AggSpec,
-                cols: EventCols = EventCols(),
                 persistShared: Boolean = false): DataFrame = {
     require(plan.semantics == agg.semantics,
       s"plan built for ${plan.semantics} but ${agg.name} needs ${agg.semantics}")
+    val source = Window.virtualRoot -> eventSubAggs(events, agg)
     val userSet = plan.userWindows.toSet
     val subAggs = plan.fold[DataFrame] { (w, up) =>
-      val df = up.fold(subAggFromEvents(events, w, agg, cols)) { case (upW, upDf) =>
-        subAggFromUpstream(upDf, upW, w, agg)
-      }
+      val (upW, upDf) = up.getOrElse(source)
+      val df = subAggFromUpstream(upDf, upW, w, agg)
       val fanOut = plan.childrenOf(w).size + (if (userSet.contains(w)) 1 else 0)
       if (persistShared && fanOut > 1) df.persist(StorageLevel.MEMORY_AND_DISK) else df
     }

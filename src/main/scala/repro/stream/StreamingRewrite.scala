@@ -34,27 +34,23 @@ object StreamingRewrite {
   }
 
   /** Build one streaming DataFrame per *user* window along the min-cost
-    * WCG: roots aggregate the raw stream with `window($"ts", r)`; children
-    * re-aggregate their parent's window column with `window($"window", r)`.
-    * Returned frames are streaming and un-finalized chains share prefix
-    * structure; each is typically bound to its own sink.
+    * WCG. The events enter as the sub-aggregates of the virtual root
+    * S⟨1,1⟩, `(k, window = ts, st)`, so every window is one step: re-window
+    * its parent's `window` column with `window($"window", r)`. Returned
+    * frames are streaming and un-finalized chains share prefix structure;
+    * each is typically bound to its own sink.
     *
     * @param watermarkDelay event-time watermark, e.g. "0 seconds"
     */
   def chains(events: DataFrame, plan: WcgPlan, agg: AggSpec,
              watermarkDelay: String = "0 seconds"): Map[Window, DataFrame] = {
     requireTumblingChain(plan)
-    val marked = events.withWatermark("ts", watermarkDelay)
-    val sub = plan.fold[DataFrame] {
-      case (w, None) =>
-        marked
-          .select(col("k"), col("ts"), agg.lift(col("v")).as("st0"))
-          .groupBy(col("k"), window(col("ts"), s"${w.r} seconds"))
-          .agg(agg.merge(col("st0")).as("st"))
-      case (w, Some((_, up))) =>
-        up
-          .groupBy(col("k"), window(col("window"), s"${w.r} seconds"))
-          .agg(agg.merge(col("st")).as("st"))
+    val source = events.withWatermark("ts", watermarkDelay)
+      .select(col("k"), col("ts").as("window"), agg.lift(col("v")).as("st"))
+    val sub = plan.fold[DataFrame] { (w, up) =>
+      up.fold(source)(_._2)
+        .groupBy(col("k"), window(col("window"), s"${w.r} seconds"))
+        .agg(agg.merge(col("st")).as("st"))
     }
     plan.userWindows.map { w =>
       w -> Executor.finish(sub(w), w, agg, col("window.start").cast("long").as("wstart"))

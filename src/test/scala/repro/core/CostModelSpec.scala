@@ -178,6 +178,20 @@ class CostModelSpec extends AnyFunSuite with SeededProps {
     assert(plan.userWindows.size == 2)
   }
 
+  test("r mod s != 0 is rejected at the planner's entry, naming footnote 4") {
+    val ws = Seq(Window(15, 4), Window(10, 4))
+    val entries: Seq[(String, () => Any)] =
+      Seq[Semantics](Semantics.CoveredBy, Semantics.PartitionedBy).flatMap { sem =>
+        Seq(s"Algorithm 1 ($sem)" -> (() => CostModel.minCostPlan(ws, sem, 1)),
+            s"Algorithm 2 ($sem)" -> (() => FactorWindows.minCostPlanWithFactors(ws, sem, 1)))
+      } :+ ("baselineCost" -> (() => CostModel.baselineCost(ws, 1)))
+    entries.foreach { case (name, plan) =>
+      val e = intercept[IllegalArgumentException](plan())
+      assert(e.getMessage.contains("W(15,4)") && e.getMessage.contains("r ≡ 0 (mod s)") &&
+        e.getMessage.contains("footnote 4"), s"$name: ${e.getMessage}")
+    }
+  }
+
   test("eta must be at least 1") {
     assertThrows[IllegalArgumentException](
       CostModel.minCostPlan(ex1, Semantics.CoveredBy, 0))

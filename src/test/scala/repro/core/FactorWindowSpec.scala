@@ -41,7 +41,7 @@ class FactorWindowSpec extends AnyFunSuite with SeededProps {
 
   test("Example 8: Algorithm 4 candidates for the virtual root are {2,5,10}") {
     val bigR = CostModel.hyperPeriod(ex7)
-    // downstream of S in the augmented WCG: W2(20,20), W3(30,30) (W4 is
+    // downstream of the virtual root S: W2(20,20), W3(30,30) (W4 is
     // covered by W2 and so has an incoming edge already).
     val downstream = Seq(Window.tumbling(20), Window.tumbling(30))
     val d = NumberTheory.gcdAll(downstream.map(w => BigInt(w.r)))

@@ -9,9 +9,11 @@ class TechniquesSpec extends AnyFunSuite with SeededProps {
   private val ex1 = Seq(10L, 20L, 30L, 40L).map(Window.tumbling)
 
   test("period extension: L = lcm(R, S) and costs scale by the extension") {
-    val ws = Seq(Window(12, 4), Window(20, 8))
+    // r ≡ 0 (mod s) (footnote 4) makes S divide R, so L = R here; only the
+    // slicing techniques' costs are extended (by L/S = 15).
+    val ws = Seq(Window(12, 4), Window(20, 4))
     val bigR = CostModel.hyperPeriod(ws)   // lcm(12,20) = 60
-    val bigS = Slicing.slicingPeriod(ws)   // lcm(4,8) = 8
+    val bigS = Slicing.slicingPeriod(ws)   // lcm(4,4) = 4
     val c = Techniques.evaluate(ws, Semantics.CoveredBy, 1)
     assert(c.period == NumberTheory.lcm(bigR, bigS))
     assert(c.bl == CostModel.baselineCost(ws, 1) * (c.period / bigR))

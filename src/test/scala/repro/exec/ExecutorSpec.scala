@@ -54,18 +54,24 @@ class ExecutorSpec extends SparkSpec {
 
   // ---- oracle: the baseline itself is right ------------------------------
 
-  private def oracleCheck(w: Window, agg: AggSpec, duckAgg: String): Unit = {
-    val ev = events(1500, 120)
+  /** DuckDB's `duckAgg` per key and instance of `w` over `events` with
+    * `t` in `[0, 120)`.
+    */
+  private def oracleSql(w: Window, duckAgg: String): String =
+    s"""SELECT CAST(e.k AS BIGINT) AS k, ws.a AS wstart,
+       |       CAST($duckAgg AS DOUBLE) AS value
+       |FROM events e, (SELECT range AS a FROM range(0, 120, ${w.s})) ws
+       |WHERE CAST(e.t AS BIGINT) >= ws.a AND CAST(e.t AS BIGINT) < ws.a + ${w.r}
+       |GROUP BY 1, 2""".stripMargin
+
+  /** Checks `w`'s results against DuckDB and returns them. */
+  private def oracleCheck(w: Window, agg: AggSpec, duckAgg: String,
+                          ev: DataFrame = events(1500, 120)): DataFrame = {
     val sparkDf = Executor
       .finish(Executor.subAggFromEvents(ev, w, agg), w, agg)
       .select(col("k"), col("wstart"), col("value"))
-    val sql =
-      s"""SELECT CAST(e.k AS BIGINT) AS k, ws.a AS wstart,
-         |       CAST($duckAgg AS DOUBLE) AS value
-         |FROM events e, (SELECT range AS a FROM range(0, 120, ${w.s})) ws
-         |WHERE CAST(e.t AS BIGINT) >= ws.a AND CAST(e.t AS BIGINT) < ws.a + ${w.r}
-         |GROUP BY 1, 2""".stripMargin
-    Oracle.assertEquivalent(sparkDf, sql, "events" -> ev)
+    Oracle.assertEquivalent(sparkDf, oracleSql(w, duckAgg), "events" -> ev)
+    sparkDf
   }
 
   test("oracle: tumbling MIN matches DuckDB")  { oracleCheck(Window(20, 20), AggSpec.Min,   "MIN(CAST(e.v AS DOUBLE))") }
@@ -74,6 +80,31 @@ class ExecutorSpec extends SparkSpec {
   test("oracle: hopping SUM matches DuckDB")   { oracleCheck(Window(12, 4),  AggSpec.Sum,   "SUM(CAST(e.v AS DOUBLE))") }
   test("oracle: tumbling COUNT matches DuckDB"){ oracleCheck(Window(15, 15), AggSpec.Count, "COUNT(*)") }
   test("oracle: hopping AVG matches DuckDB")   { oracleCheck(Window(24, 8),  AggSpec.Avg,   "AVG(CAST(e.v AS DOUBLE))") }
+
+  /** Events with null values: every fifth time unit, and all of key 1's
+    * values in `[40, 64)`, so some instances are entirely null.
+    */
+  private def eventsWithNulls: DataFrame =
+    events(1500, 120).withColumn("v",
+      when(col("t") % 5 === 0 || (col("k") === 1 && col("t") >= 40 && col("t") < 64), lit(null))
+        .otherwise(col("v")))
+
+  test("oracle: hopping AVG over null values matches DuckDB") {
+    val df = oracleCheck(Window(24, 8), AggSpec.Avg, "AVG(CAST(e.v AS DOUBLE))", eventsWithNulls)
+    assert(df.filter(col("value").isNull).count() > 0, "no all-null instance")
+  }
+
+  test("oracle: the rewritten Example-7 AVG plan over null values matches DuckDB") {
+    val ev = eventsWithNulls
+    val plan = FactorWindows.minCostPlanWithFactors(ex7, Semantics.PartitionedBy, 100)
+    assert(plan.factorWindows.nonEmpty)
+    val rew = Executor.rewritten(ev, plan, AggSpec.Avg)
+    ex7.foreach { w =>
+      val sparkDf = rew.filter(col("w_r") === w.r)
+        .select(col("k"), col("wstart"), col("value"))
+      Oracle.assertEquivalent(sparkDf, oracleSql(w, "AVG(CAST(e.v AS DOUBLE))"), "events" -> ev)
+    }
+  }
 
   test("oracle: the rewritten Example-1 MIN plan matches DuckDB window-by-window") {
     val ev = events(1500, 120)

@@ -29,6 +29,14 @@ class StreamingSpec extends SparkSpec {
     val plan =
       if (withFactors) FactorWindows.minCostPlanWithFactors(windows, agg.semantics, 100)
       else CostModel.minCostPlan(windows, agg.semantics, 100)
+    runChains(plan, agg, Seq(events))
+  }
+
+  /** Feed `batches` in turn through `chains` on `plan`; the closed windows
+    * per user window as sorted `(k, wstart, value)`.
+    */
+  private def runChains(plan: WcgPlan, agg: AggSpec,
+                        batches: Seq[Seq[(Long, Long, Double)]]): Map[Window, Seq[(Long, Long, Double)]] = {
     val prevPartitions = spark.conf.get("spark.sql.shuffle.partitions")
     spark.conf.set("spark.sql.shuffle.partitions", "3")
     try {
@@ -42,13 +50,12 @@ class StreamingSpec extends SparkSpec {
           .outputMode("append").start()))
       }.toMap
       try {
-        input.addData(events.map { case (t, k, v) => (new Timestamp(t * 1000L), k, v) })
-        queries.values.foreach(_._2.processAllAvailable())
         // Two sentinel batches push the watermark past every real window so
         // append mode finalizes them (the second batch flushes state closed
         // by the first sentinel's watermark).
-        Seq(5000L, 6000L).foreach { t =>
-          input.addData(Seq((new Timestamp(t * 1000L), 1L, 0.0)))
+        val sentinels = Seq(5000L, 6000L).map(t => Seq((t, 1L, 0.0)))
+        (batches ++ sentinels).foreach { batch =>
+          input.addData(batch.map { case (t, k, v) => (new Timestamp(t * 1000L), k, v) })
           queries.values.foreach(_._2.processAllAvailable())
         }
         queries.map { case (w, (name, _)) =>
@@ -110,6 +117,24 @@ class StreamingSpec extends SparkSpec {
   test("streaming chained COUNT equals batch") {
     check(Seq(15L, 60L).map(Window.tumbling), AggSpec.Count,
       withFactors = false, seed = 4)
+  }
+
+  test("late event, t = 0: Algorithm-2 chains emit what all-roots chains emit") {
+    val ws = Seq(20L, 30L, 40L).map(Window.tumbling)
+    val plan = FactorWindows.minCostPlanWithFactors(ws, AggSpec.Min.semantics, 100)
+    assert(plan.factorWindows.nonEmpty)
+    // Events at t = 0 fall into every window's first instance. The first
+    // batch moves the watermark to its latest event time, so the second
+    // batch's event at t = 5 is behind it and must be dropped.
+    val onTime = Seq((0L, 1L, 7.0), (0L, 2L, 3.0)) ++ eventList(200, seed = 5)
+    val batches = Seq(onTime, Seq((5L, 1L, -1.0)))
+    val got = runChains(plan, AggSpec.Min, batches)
+    val want = runChains(WcgPlan.allRoots(ws, AggSpec.Min.semantics), AggSpec.Min, batches)
+    assert(got == want)
+    ws.foreach { w =>
+      assert(got(w).exists(_._2 == 0L), s"$w: no instance at t = 0")
+      assert(!got(w).exists(_._3 == -1.0), s"$w: the late event was aggregated")
+    }
   }
 
   test("streaming rewrite rejects non-tumbling plans") {
